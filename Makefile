@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race lint lint-json lint-baseline lint-stats lint-sarif debug bench bench-shuffle bench-engine perf perf-check figures examples trace-demo metrics-smoke clean
+.PHONY: all build test race lint lint-json lint-baseline lint-stats lint-sarif debug bench bench-shuffle bench-engine figures examples trace-demo metrics-smoke clean
 
 all: build test
 
@@ -82,26 +82,6 @@ bench-engine:
 	$(GO) test -bench 'BenchmarkSearchSubject|BenchmarkProteinScan|BenchmarkCullContained' -benchmem -run '^$$' ./internal/blast
 	$(GO) test -bench 'BenchmarkBatchAccumulate|BenchmarkBMU' -benchmem -run '^$$' ./internal/som
 
-# Perf-regression harness: run the pinned suite and write the next free
-# BENCH_<n>.json (timings, registry metrics, analyzer stats). Compare two
-# files with `bin/mrperf compare old.json new.json`.
-perf: build
-	$(BIN)/mrperf
-
-# CI smoke mode: a quick suite run compared against the newest committed
-# baseline (BENCH_2.json, the kernel-speed build); fails on a >25%
-# calibration-normalized wall-clock regression. The compares against
-# BENCH_1.json (pre-kernel-rewrite) and BENCH_0.json (pre-streaming
-# shuffle) are informational: they should keep reporting the engine-scan
-# and mrmpi-shuffle improvements, so a silent loss of either win shows up
-# in CI logs even when it stays under the regression threshold.
-perf-check: build
-	mkdir -p results
-	$(BIN)/mrperf -quick -out results/BENCH_ci.json
-	$(BIN)/mrperf compare BENCH_2.json results/BENCH_ci.json
-	$(BIN)/mrperf compare BENCH_1.json results/BENCH_ci.json || echo "perf-check: BENCH_1 compare informational"
-	$(BIN)/mrperf compare BENCH_0.json results/BENCH_ci.json || echo "perf-check: BENCH_0 compare informational"
-
 # Regenerate every figure/table of the paper's evaluation.
 figures: build
 	$(BIN)/benchfig -fig all -out results -csv results/csv
@@ -144,5 +124,7 @@ examples:
 	$(GO) run ./examples/somcolors -out .
 	$(GO) run ./examples/tetrasom
 
+# Removes only what the targets above generate: results/ also holds the
+# committed figures and CSVs.
 clean:
-	rm -rf $(BIN) results som_colors.ppm som_umatrix.pgm
+	rm -rf $(BIN) results/mpilint.sarif results/trace-demo* som_colors.ppm som_umatrix.pgm

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -235,6 +236,62 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	}
 	if m.NumRanks != 2 || len(m.Links) == 0 {
 		t.Errorf("comm matrix implausible: %d ranks, %d links", m.NumRanks, len(m.Links))
+	}
+}
+
+// TestCLIFailedRunKeepsArtifacts: a run that fails inside the job still
+// writes its -trace and -comm files, so the failure can be diagnosed. A
+// volume corrupted after formatdb passes the pre-flight size check and
+// trips its payload checksum only when a map task loads it.
+func TestCLIFailedRunKeepsArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI pipeline is not short")
+	}
+	dir := t.TempDir()
+	runCLI(t, dir, "genseq", "-mode", "genomes", "-n", "2",
+		"-minlen", "2000", "-maxlen", "3000", "-strains", "1",
+		"-identity", "0.93", "-out", "all.fa")
+	runCLI(t, dir, "formatdb", "-in", "all.fa", "-out", "db",
+		"-name", "refdb", "-target-residues", "4000")
+	runCLI(t, dir, "shred", "-in", "all.fa", "-out", "reads.fa")
+
+	vols, err := filepath.Glob(filepath.Join(dir, "db", "*.vol"))
+	if err != nil || len(vols) == 0 {
+		t.Fatalf("no formatdb volumes: %v", err)
+	}
+	data, err := os.ReadFile(vols[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(data) / 2; i < len(data)/2+64; i++ {
+		data[i] ^= 0xFF
+	}
+	if err := os.WriteFile(vols[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "mrblast"),
+		"-query", "reads.fa", "-db", "db/refdb.json", "-ranks", "3",
+		"-out", "hits", "-trace", "t.json", "-comm", "c.json")
+	cmd.Dir = dir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("mrblast succeeded on a corrupt volume")
+	}
+	if !strings.Contains(stderr.String(), "rank ") {
+		t.Errorf("stderr does not name the failing rank: %s", stderr.String())
+	}
+
+	out := runCLI(t, dir, "traceview", "-check", "t.json")
+	var events int
+	if _, rest, ok := strings.Cut(out, "OK ("); !ok {
+		t.Errorf("traceview -check output: %s", out)
+	} else if _, err := fmt.Sscanf(rest, "%d events", &events); err != nil || events == 0 {
+		t.Errorf("trace of the failed run is empty: %s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "c.json")); err != nil {
+		t.Errorf("comm matrix not written: %v", err)
 	}
 }
 

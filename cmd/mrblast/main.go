@@ -123,11 +123,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mrblast: profiling:", perr)
 		}
 	}
-	fail(err)
-	fmt.Printf("mrblast: %d queries in %d blocks x %d partitions = %d work units on %d ranks\n",
-		sum.Queries, sum.Blocks, sum.Partitions, sum.WorkItems, *ranks)
-	fmt.Printf("mrblast: %d hits in %v; useful CPU utilization %.2f; outputs under %s\n",
-		sum.TotalHits, time.Since(start).Round(time.Millisecond), sum.Utilization, *out)
 	if tracer != nil {
 		fail(writeTrace(*tracePath, tracer))
 		fmt.Printf("mrblast: wrote trace to %s\n", *tracePath)
@@ -139,6 +134,11 @@ func main() {
 		fail(writeComm(*commPath, commT))
 		fmt.Printf("mrblast: wrote comm matrix to %s (render with traceview -comm %s)\n", *commPath, *commPath)
 	}
+	fail(err)
+	fmt.Printf("mrblast: %d queries in %d blocks x %d partitions = %d work units on %d ranks\n",
+		sum.Queries, sum.Blocks, sum.Partitions, sum.WorkItems, *ranks)
+	fmt.Printf("mrblast: %d hits in %v; useful CPU utilization %.2f; outputs under %s\n",
+		sum.TotalHits, time.Since(start).Round(time.Millisecond), sum.Utilization, *out)
 }
 
 func writeComm(path string, tracker *obscomm.Tracker) error {

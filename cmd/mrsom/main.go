@@ -116,7 +116,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mrsom: profiling:", perr)
 		}
 	}
-	fail(err)
 	if tracer != nil {
 		fail(writeTrace(*tracePath, tracer))
 		fmt.Printf("mrsom: wrote trace to %s\n", *tracePath)
@@ -128,6 +127,7 @@ func main() {
 		fail(writeComm(*commPath, commT))
 		fmt.Printf("mrsom: wrote comm matrix to %s (render with traceview -comm %s)\n", *commPath, *commPath)
 	}
+	fail(err)
 	fmt.Printf("mrsom: trained %dx%d map on %d x %d-d vectors, %d epochs, %d ranks in %v\n",
 		*w, *h, sum.Vectors, sum.Dim, *epochs, *ranks, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("mrsom: quantization error %.5f, topographic error %.5f\n",

@@ -7,8 +7,7 @@ import (
 )
 
 // benchEngine builds the scan benchmark fixture: a shredded-fragment query
-// block against synthetic genomes, the same shape as the mrperf
-// engine-scan workload.
+// block against synthetic genomes.
 func benchEngine(b *testing.B, related bool) (*Engine, []Subject) {
 	b.Helper()
 	g := bio.NewGenerator(bio.SynthParams{Seed: 6001})

@@ -2,8 +2,7 @@
 // per-rank busy/comm/idle time, per-phase load-imbalance factors (the
 // paper's Fig. 3–6 efficiency driver), the master dispatch latency
 // distribution, a ranked straggler report, and the critical path through
-// p2p/collective edges. cmd/traceview -analyze renders the result; the perf
-// harness (cmd/mrperf) folds it into BENCH_*.json baselines.
+// p2p/collective edges. cmd/traceview -analyze renders the result.
 package analyze
 
 import (

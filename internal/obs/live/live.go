@@ -13,7 +13,6 @@
 //	             gauges and histograms plus comm-matrix link totals
 //	             (404 when neither source is on) — the control-plane
 //	             groundwork for mrblastd
-//	/metrics.txt the registry as the legacy plain-text table (404 when off)
 //
 // cmd/mrblast and cmd/mrsom expose it behind their -status :PORT flag.
 package live
@@ -53,8 +52,8 @@ type Server struct {
 }
 
 // New creates a server over the given sources. tracer, metrics and commT
-// may each be nil: snapshots then omit in-flight spans, and the metrics
-// routes 404 when every source they draw from is off.
+// may each be nil: snapshots then omit in-flight spans, and /metrics 404s
+// when every source it draws from is off.
 func New(board *obs.Board, tracer *obs.Tracer, metrics *obs.Registry, commT *comm.Tracker) *Server {
 	return &Server{board: board, tracer: tracer, metrics: metrics, comm: commT, start: time.Now()}
 }
@@ -110,14 +109,6 @@ func (s *Server) Handler() http.Handler {
 			// are cumulative anyway, so serving the merged snapshot is exact.
 			s.comm.Matrix().WritePrometheus(w)
 		}
-	})
-	mux.HandleFunc("/metrics.txt", func(w http.ResponseWriter, r *http.Request) {
-		if s.metrics == nil {
-			http.Error(w, "metrics disabled", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.metrics.Snapshot().WriteTable(w)
 	})
 	return mux
 }

@@ -174,8 +174,8 @@ func TestTextView(t *testing.T) {
 }
 
 // TestMetricsRoute checks /metrics serves a conformant Prometheus exposition
-// of the registry plus comm-matrix totals, /metrics.txt keeps the legacy
-// table, and both 404 when every source is absent.
+// of the registry plus comm-matrix totals, and 404s when every source is
+// absent.
 func TestMetricsRoute(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("x.count").Add(3)
@@ -205,30 +205,18 @@ func TestMetricsRoute(t *testing.T) {
 		t.Errorf("/metrics exposition not conformant: %v\n%s", err, text)
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/metrics.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "x.count") {
-		t.Errorf("/metrics.txt = %q, want the legacy counter table", body)
-	}
-
 	off := New(obs.NewBoard(), nil, nil, nil)
 	if err := off.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer off.Close()
-	for _, path := range []string{"/metrics", "/metrics.txt"} {
-		resp, err = http.Get("http://" + off.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s without sources: status %d, want 404", path, resp.StatusCode)
-		}
+	resp, err = http.Get("http://" + off.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/metrics without sources: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -205,21 +205,3 @@ func (g Grid) Adjacent(a, b int) bool {
 	}
 	return dx <= 1 && dy <= 1
 }
-
-// Adjacent8 is the rectangular 8-neighborhood adjacency (legacy name; for
-// Rect grids it equals Adjacent).
-func (g Grid) Adjacent8(a, b int) bool {
-	if g.Topo == Rect {
-		return g.Adjacent(a, b)
-	}
-	ax, ay := g.Coords(a)
-	bx, by := g.Coords(b)
-	dx, dy := ax-bx, ay-by
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return (dx <= 1 && dy <= 1) && !(dx == 0 && dy == 0)
-}

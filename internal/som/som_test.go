@@ -47,13 +47,13 @@ func TestGridNeighbors(t *testing.T) {
 	if n := g.Neighbors4(corner); len(n) != 2 {
 		t.Errorf("corner neighbors = %d", len(n))
 	}
-	if !g.Adjacent8(g.Index(0, 0), g.Index(1, 1)) {
+	if !g.Adjacent(g.Index(0, 0), g.Index(1, 1)) {
 		t.Error("diagonal should be 8-adjacent")
 	}
-	if g.Adjacent8(corner, corner) {
+	if g.Adjacent(corner, corner) {
 		t.Error("self is not adjacent")
 	}
-	if g.Adjacent8(g.Index(0, 0), g.Index(2, 2)) {
+	if g.Adjacent(g.Index(0, 0), g.Index(2, 2)) {
 		t.Error("distance-2 is not adjacent")
 	}
 }
@@ -642,19 +642,6 @@ func TestTopographicErrorBehavior(t *testing.T) {
 	cb.Vector(0)[0], cb.Vector(4)[0] = 4, 0
 	if te := TopographicError(cb, []float64{3.9, 0.1}, 2); te == 0 {
 		t.Errorf("scrambled map should have TE > 0")
-	}
-}
-
-func TestAdjacent8HexVariant(t *testing.T) {
-	g, _ := NewGridTopo(4, 4, Hex)
-	if !g.Adjacent8(g.Index(1, 1), g.Index(2, 2)) {
-		t.Error("lattice diagonal should be Adjacent8 on hex too")
-	}
-	if g.Adjacent8(g.Index(0, 0), g.Index(0, 0)) {
-		t.Error("self not adjacent")
-	}
-	if g.Adjacent8(g.Index(0, 0), g.Index(3, 3)) {
-		t.Error("far cells not adjacent")
 	}
 }
 
