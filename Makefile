@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race lint lint-json lint-baseline lint-stats lint-sarif debug bench bench-shuffle bench-engine figures examples trace-demo metrics-smoke clean
+.PHONY: all build test race lint lint-json lint-baseline lint-stats lint-sarif debug bench bench-shuffle bench-engine figures examples trace-demo clean
 
 all: build test
 
@@ -86,36 +86,26 @@ bench-engine:
 figures: build
 	$(BIN)/benchfig -fig all -out results -csv results/csv
 
-# Observability demo and self-check: train a small SOM on 4 ranks with
-# tracing, metrics, per-phase profiling, and the flight recorder on, then
-# structurally validate the exported Chrome trace with traceview -check
-# (spans nest, begins have ends, clocks are monotonic), print the per-rank
-# per-phase summary, stitch the causal DAG (-causal), and write the full
-# analyzer report with wait blame (-analyze/-blame). Outputs are
-# gzip-compressed (.gz); zcat results/trace-demo.json.gz and load it into
+# Observability demo and self-check: train a small SOM on 4 ranks once with
+# every instrument on (-obs), then structurally validate the exported Chrome
+# trace with traceview -check (spans nest, begins have ends, clocks are
+# monotonic), print the per-rank per-phase summary, stitch the causal DAG
+# (-causal), render the comm matrix, and write the full analyzer report with
+# wait blame (-analyze/-blame) — the trace and the comm matrix it joins come
+# from the same run. zcat results/trace-demo/trace.json.gz and load it into
 # https://ui.perfetto.dev to browse it.
 trace-demo: build
 	mkdir -p results
 	$(BIN)/genseq -mode vectors -n 4000 -dim 16 -out results/trace-demo-vectors.bin
 	$(BIN)/mrsom -data results/trace-demo-vectors.bin -ranks 4 -w 12 -h 12 \
-		-epochs 4 -trace results/trace-demo.json.gz -metrics \
-		-flight results/trace-demo-flight.json.gz -profile results/trace-demo-prof
-	$(BIN)/traceview -check results/trace-demo.json.gz
-	$(BIN)/traceview -top 5 results/trace-demo.json.gz
-	$(BIN)/traceview -causal results/trace-demo.json.gz
-	$(BIN)/mrsom -data results/trace-demo-vectors.bin -ranks 4 -w 12 -h 12 \
-		-epochs 4 -comm results/trace-demo-comm.json.gz
-	$(BIN)/traceview -comm results/trace-demo-comm.json.gz
-	$(BIN)/traceview -analyze -comm results/trace-demo-comm.json.gz \
-		-o results/trace-demo-report.txt.gz results/trace-demo.json.gz
-	$(BIN)/traceview -blame results/trace-demo.json.gz
-
-# CI conformance gate for the live /metrics route: starts mrblast with a
-# status server and comm accounting, scrapes /metrics after the run, and
-# validates the Prometheus text exposition with the repo's own parser
-# (obs.ValidatePrometheus) — no external dependencies.
-metrics-smoke:
-	$(GO) test -run TestMetricsEndpointSmoke -v .
+		-epochs 4 -obs results/trace-demo
+	$(BIN)/traceview -check results/trace-demo/trace.json.gz
+	$(BIN)/traceview -top 5 results/trace-demo/trace.json.gz
+	$(BIN)/traceview -causal results/trace-demo/trace.json.gz
+	$(BIN)/traceview -comm results/trace-demo/comm.json.gz
+	$(BIN)/traceview -analyze -comm results/trace-demo/comm.json.gz \
+		-o results/trace-demo/report.txt.gz results/trace-demo/trace.json.gz
+	$(BIN)/traceview -blame results/trace-demo/trace.json.gz
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -6,17 +6,13 @@ package repro
 // main packages.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/comm"
@@ -153,12 +149,12 @@ func TestCLISOMPipeline(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointSmoke is the CI conformance gate for the live /metrics
-// route: it starts mrblast with a status server, comm accounting, and a
-// post-run linger, scrapes /metrics after the run completes, and validates
-// the exposition with the repo's own Prometheus parser. The -comm matrix
-// file is checked as a side effect.
-func TestMetricsEndpointSmoke(t *testing.T) {
+// TestCLIObsDir: a successful `mrblast -obs o` run leaves the whole
+// observability account of that one run in o/ under its fixed names — a
+// trace traceview accepts, a comm matrix over both ranks, a conformant
+// Prometheus exposition, per-phase CPU profiles and a heap snapshot — and
+// no flight dump, which only a deadlock, panic or SIGQUIT writes.
+func TestCLIObsDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline is not short")
 	}
@@ -169,63 +165,14 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	runCLI(t, dir, "formatdb", "-in", "all.fa", "-out", "db",
 		"-name", "refdb", "-target-residues", "4000")
 	runCLI(t, dir, "shred", "-in", "all.fa", "-out", "reads.fa")
+	runCLI(t, dir, "mrblast", "-query", "reads.fa", "-db", "db/refdb.json", "-ranks", "2",
+		"-block-size", "8", "-evalue", "1e-6", "-out", "hits", "-obs", "o")
+	o := filepath.Join(dir, "o")
 
-	cmd := exec.Command(filepath.Join(buildCLIs(t), "mrblast"),
-		"-query", "reads.fa", "-db", "db/refdb.json", "-ranks", "2",
-		"-block-size", "8", "-evalue", "1e-6", "-out", "hits",
-		"-status", "127.0.0.1:0", "-status-linger", "60s", "-comm", "comm.json")
-	cmd.Dir = dir
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
+	if out := runCLI(t, dir, "traceview", "-check", "o/trace.json.gz"); !strings.Contains(out, "OK (") {
+		t.Errorf("traceview -check output: %s", out)
 	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-
-	// The status line prints before the run, the comm-matrix line after it;
-	// waiting for the latter guarantees the scrape sees the finished run.
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		line := sc.Text()
-		if _, rest, ok := strings.Cut(line, "live status at http://"); ok {
-			addr, _, _ = strings.Cut(rest, "/status")
-		}
-		if strings.Contains(line, "wrote comm matrix") {
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatal("mrblast never printed the live status address")
-	}
-
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatalf("scraping /metrics: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: status %d\n%s", resp.StatusCode, body)
-	}
-	text := string(body)
-	if err := obs.ValidatePrometheus(strings.NewReader(text)); err != nil {
-		t.Fatalf("/metrics exposition not conformant: %v\n%s", err, text)
-	}
-	for _, want := range []string{"mpi_sends_total", "mpi_comm_bytes_total"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %s:\n%s", want, text)
-		}
-	}
-
-	f, err := os.Open(filepath.Join(dir, "comm.json"))
+	f, err := obs.OpenInput(filepath.Join(o, "comm.json.gz"))
 	if err != nil {
 		t.Fatalf("comm matrix not written: %v", err)
 	}
@@ -237,10 +184,26 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	if m.NumRanks != 2 || len(m.Links) == 0 {
 		t.Errorf("comm matrix implausible: %d ranks, %d links", m.NumRanks, len(m.Links))
 	}
+	prom, err := os.ReadFile(filepath.Join(o, "metrics.prom"))
+	if err != nil {
+		t.Fatalf("metrics not written: %v", err)
+	}
+	if err := obs.ValidatePrometheus(strings.NewReader(string(prom))); err != nil {
+		t.Errorf("metrics.prom not conformant: %v\n%s", err, prom)
+	}
+	if cpu, _ := filepath.Glob(filepath.Join(o, "cpu.*.pprof")); len(cpu) == 0 {
+		t.Error("no per-phase CPU profile written")
+	}
+	if _, err := os.Stat(filepath.Join(o, "heap.pprof")); err != nil {
+		t.Errorf("heap profile not written: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(o, "flight.json.gz")); !os.IsNotExist(err) {
+		t.Errorf("clean run left a flight dump (stat err %v)", err)
+	}
 }
 
 // TestCLIFailedRunKeepsArtifacts: a run that fails inside the job still
-// writes its -trace and -comm files, so the failure can be diagnosed. A
+// writes its -obs trace and comm matrix, so the failure can be diagnosed. A
 // volume corrupted after formatdb passes the pre-flight size check and
 // trips its payload checksum only when a map task loads it.
 func TestCLIFailedRunKeepsArtifacts(t *testing.T) {
@@ -272,7 +235,7 @@ func TestCLIFailedRunKeepsArtifacts(t *testing.T) {
 
 	cmd := exec.Command(filepath.Join(buildCLIs(t), "mrblast"),
 		"-query", "reads.fa", "-db", "db/refdb.json", "-ranks", "3",
-		"-out", "hits", "-trace", "t.json", "-comm", "c.json")
+		"-out", "hits", "-obs", "o")
 	cmd.Dir = dir
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
@@ -283,14 +246,14 @@ func TestCLIFailedRunKeepsArtifacts(t *testing.T) {
 		t.Errorf("stderr does not name the failing rank: %s", stderr.String())
 	}
 
-	out := runCLI(t, dir, "traceview", "-check", "t.json")
+	out := runCLI(t, dir, "traceview", "-check", "o/trace.json.gz")
 	var events int
 	if _, rest, ok := strings.Cut(out, "OK ("); !ok {
 		t.Errorf("traceview -check output: %s", out)
 	} else if _, err := fmt.Sscanf(rest, "%d events", &events); err != nil || events == 0 {
 		t.Errorf("trace of the failed run is empty: %s", out)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "c.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "o", "comm.json.gz")); err != nil {
 		t.Errorf("comm matrix not written: %v", err)
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,8 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	obscomm "repro/internal/obs/comm"
 	"repro/internal/obs/live"
 	"repro/internal/som"
 )
@@ -37,13 +36,8 @@ func main() {
 	bubble := flag.Bool("bubble", false, "bubble neighborhood kernel (default Gaussian)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: written every -checkpoint-every epochs; resumed from when it exists")
 	checkpointEvery := flag.Int("checkpoint-every", 5, "epochs between checkpoints")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the run (.gz compresses; view in Perfetto or cmd/traceview)")
-	metrics := flag.Bool("metrics", false, "print the run's metrics registry on completion")
-	status := flag.String("status", "", "serve live per-rank status over HTTP on this address (e.g. :8080); watch with curl addr/status.txt")
-	statusLinger := flag.Duration("status-linger", 0, "keep the -status server up this long after the run so scrapers can collect final /metrics")
-	commPath := flag.String("comm", "", "account per-rank communication; write the merged comm matrix JSON here (.gz compresses; render with traceview -comm)")
-	flightPath := flag.String("flight", "", "arm the flight recorder; a post-mortem dump is written here (.gz compresses) if the run deadlocks, panics, or gets SIGQUIT")
-	profileDir := flag.String("profile", "", "capture per-phase CPU profiles and an end-of-run heap snapshot into this directory")
+	obsDir := flag.String("obs", "", "turn on every instrument and write the run's trace.json.gz, comm.json.gz, metrics.prom and per-phase pprof files into this directory (flight.json.gz too if the run deadlocks or panics)")
+	status := flag.String("status", "", "serve live per-rank status and /metrics over HTTP on this address (e.g. :8080); watch with curl addr/status.txt")
 	flag.Parse()
 	if *data == "" {
 		fail(fmt.Errorf("-data is required"))
@@ -52,38 +46,10 @@ func main() {
 		fail(fmt.Errorf("need at least 1 rank, got %d", *ranks))
 	}
 
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-	var reg *obs.Registry
-	if *metrics || *status != "" {
-		reg = obs.NewRegistry()
-	}
-	var commT *obscomm.Tracker
-	if *commPath != "" {
-		commT = obscomm.NewTracker()
-	}
-	var flight *obs.FlightRecorder
-	if *flightPath != "" {
-		flight = obs.NewFlightRecorder(obs.DefaultFlightEvents)
-	}
-	var prof *obs.PhaseProfiler
-	if *profileDir != "" {
-		p, err := obs.StartPhaseProfiler(*profileDir)
-		fail(err)
-		prof = p
-	}
-	var board *obs.Board
-	if *status != "" {
-		board = obs.NewBoard()
-		srv := live.New(board, tracer, reg, commT)
-		fail(srv.Start(*status))
-		defer srv.Close()
-		fmt.Printf("mrsom: live status at http://%s/status (text: /status.txt, metrics: /metrics)\n", srv.Addr())
-		if *statusLinger > 0 {
-			defer time.Sleep(*statusLinger)
-		}
+	sess, err := live.Open(*obsDir, *status)
+	fail(err)
+	if addr := sess.Addr(); addr != "" {
+		fmt.Printf("mrsom: live status at http://%s/status (text: /status.txt, metrics: /metrics)\n", addr)
 	}
 
 	start := time.Now()
@@ -101,33 +67,19 @@ func main() {
 			Path:  *checkpoint,
 			Every: *checkpointEvery,
 		},
-		Trace:      tracer,
-		Metrics:    reg,
-		Board:      board,
-		Comm:       commT,
-		Flight:     flight,
-		FlightPath: *flightPath,
-		Profile:    prof,
+		Trace:      sess.Tracer,
+		Metrics:    sess.Metrics,
+		Board:      sess.Board,
+		Comm:       sess.Comm,
+		Flight:     sess.Flight,
+		FlightPath: sess.FlightPath,
+		Profile:    sess.Profile,
 	})
-	if prof != nil {
-		files, perr := prof.Stop()
-		fmt.Printf("mrsom: wrote %d profile file(s) under %s (go tool pprof <file>)\n", len(files), *profileDir)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "mrsom: profiling:", perr)
-		}
+	cerr := sess.Close()
+	if *obsDir != "" && cerr == nil {
+		fmt.Printf("mrsom: wrote trace, comm matrix, metrics and profiles under %s\n", *obsDir)
 	}
-	if tracer != nil {
-		fail(writeTrace(*tracePath, tracer))
-		fmt.Printf("mrsom: wrote trace to %s\n", *tracePath)
-	}
-	if reg != nil {
-		fail(reg.Snapshot().WriteTable(os.Stdout))
-	}
-	if commT != nil {
-		fail(writeComm(*commPath, commT))
-		fmt.Printf("mrsom: wrote comm matrix to %s (render with traceview -comm %s)\n", *commPath, *commPath)
-	}
-	fail(err)
+	fail(errors.Join(err, cerr))
 	fmt.Printf("mrsom: trained %dx%d map on %d x %d-d vectors, %d epochs, %d ranks in %v\n",
 		*w, *h, sum.Vectors, sum.Dim, *epochs, *ranks, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("mrsom: quantization error %.5f, topographic error %.5f\n",
@@ -140,30 +92,6 @@ func main() {
 		fail(som.WriteCodebookPPM(*codebook, sum.Codebook))
 		fmt.Printf("mrsom: wrote codebook image to %s\n", *codebook)
 	}
-}
-
-func writeComm(path string, tracker *obscomm.Tracker) error {
-	f, err := obs.CreateOutput(path)
-	if err != nil {
-		return err
-	}
-	if err := tracker.Finalize().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeTrace(path string, tracer *obs.Tracer) error {
-	f, err := obs.CreateOutput(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fail(err error) {

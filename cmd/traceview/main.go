@@ -1,18 +1,19 @@
-// Command traceview inspects Chrome trace_event JSON files written by the
-// -trace flag of cmd/mrblast and cmd/mrsom (or any obs.WriteChromeTrace
-// output). By default it prints a per-rank per-phase summary and the slowest
-// spans; with -check it validates the trace's structure (JSON parses, spans
-// nest, begins have ends, per-rank clocks are monotonic, instant events
-// carry in-range ranks and timestamps) and exits non-zero on a malformed
-// trace; with -analyze it runs the performance analyzer (per-rank
-// busy/comm/idle time, per-phase load imbalance, master dispatch latency,
-// straggler ranking, exact cross-rank critical path, wait-blame); with
-// -causal it summarizes the happens-before DAG itself (provenance matching,
-// unmatched traffic, per-task/per-epoch lineage); with -blame it prints just
-// the blocked-on tables; with -comm it renders a communication matrix
-// recorded by mrblast/mrsom -comm (per-phase totals, src×dst byte grid,
-// heaviest links, α–β cost-model fit) — standalone, or folded into the
-// -analyze report as its comm section.
+// Command traceview inspects Chrome trace_event JSON files — the
+// trace.json.gz that the -obs flag of cmd/mrblast and cmd/mrsom writes, or
+// any obs.WriteChromeTrace output. By default it prints a per-rank
+// per-phase summary and the slowest spans; with -check it validates the
+// trace's structure (JSON parses, spans nest, begins have ends, per-rank
+// clocks are monotonic, instant events carry in-range ranks and
+// timestamps) and exits non-zero on a malformed trace; with -analyze it
+// runs the performance analyzer (per-rank busy/comm/idle time, per-phase
+// load imbalance, master dispatch latency, straggler ranking, exact
+// cross-rank critical path, wait-blame); with -causal it summarizes the
+// happens-before DAG itself (provenance matching, unmatched traffic,
+// per-task/per-epoch lineage); with -blame it prints just the blocked-on
+// tables; with -comm it renders a communication matrix (the comm.json.gz
+// of mrblast/mrsom -obs: per-phase totals, src×dst byte grid, heaviest
+// links, α–β cost-model fit) — standalone, or folded into the -analyze
+// report as its comm section.
 //
 // Inputs may be gzip-compressed (detected by content, regardless of name);
 // -o writes the report to a file instead of stdout, compressing when the
@@ -64,7 +65,7 @@ func run() {
 	analyzeFlag := flag.Bool("analyze", false, "run trace analytics: busy/comm/idle, load imbalance, dispatch latency, stragglers, critical path, wait-blame")
 	causalFlag := flag.Bool("causal", false, "summarize the causal cross-rank DAG: provenance matching, unmatched traffic, task/epoch lineage")
 	blameFlag := flag.Bool("blame", false, "print the per-rank blocked-on (wait-blame) tables")
-	commPath := flag.String("comm", "", "render a comm matrix JSON (mrblast/mrsom -comm output); alone or as an -analyze section")
+	commPath := flag.String("comm", "", "render a comm matrix JSON (comm.json.gz of mrblast/mrsom -obs); alone or as an -analyze section")
 	top := flag.Int("top", 10, "number of slowest spans / lineages to show")
 	outPath := flag.String("o", "", "write the report here instead of stdout (.gz compresses)")
 	flag.Parse()

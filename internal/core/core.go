@@ -78,7 +78,7 @@ type BlastJob struct {
 	// status server and the deadlock watchdog.
 	Board *obs.Board
 	// Comm, when non-nil, accounts every p2p message and collective leg into
-	// a per-phase communication matrix (comm.Tracker.Finalize after the run).
+	// a per-phase communication matrix (comm.Tracker.Matrix after the run).
 	Comm *comm.Tracker
 	// Flight, when non-nil, keeps a bounded ring of recent runtime events per
 	// rank, dumped to FlightPath on deadlock or panic.
@@ -232,7 +232,7 @@ type SOMJob struct {
 	// status server and the deadlock watchdog.
 	Board *obs.Board
 	// Comm, when non-nil, accounts every p2p message and collective leg into
-	// a per-phase communication matrix (comm.Tracker.Finalize after the run).
+	// a per-phase communication matrix (comm.Tracker.Matrix after the run).
 	Comm *comm.Tracker
 	// Flight, when non-nil, keeps a bounded ring of recent runtime events per
 	// rank, dumped to FlightPath on deadlock or panic.

@@ -41,7 +41,7 @@ func TestCommAccountingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tracker.Finalize()
+	m := tracker.Matrix()
 	if m.NumRanks != 4 {
 		t.Fatalf("NumRanks = %d, want 4", m.NumRanks)
 	}

@@ -2,6 +2,7 @@ package mrmpi
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -47,6 +48,18 @@ type poolResult struct {
 	err        error
 }
 
+// runRecovered runs one task on a pool worker, turning a panic into the
+// task's error: the rank goroutine's recover cannot see a worker's panic,
+// which would otherwise kill the whole process.
+func runRecovered(run MapWorkerFunc, itask, worker int, kv *KeyValue) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return run(itask, worker, kv)
+}
+
 // runTasksPooled executes tasks on `workers` goroutines. The dispatch loop
 // interleaves fetching (next), handing tasks to idle workers, and merging
 // finished staging KVs; a select keeps the rank goroutine from blocking on
@@ -63,7 +76,7 @@ func (mr *MapReduce) runTasksPooled(run MapWorkerFunc, next func() (int, bool), 
 			defer wg.Done()
 			for t := range tasks {
 				kv := mr.newLocalKV()
-				err := run(t.itask, w, kv)
+				err := runRecovered(run, t.itask, w, kv)
 				results <- poolResult{seq: t.seq, itask: t.itask, kv: kv, err: err}
 			}
 		}(w)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mpi"
@@ -142,6 +143,34 @@ func TestMapWorkersErrorPropagation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "map task 7") || !strings.Contains(err.Error(), "boom 7") {
 		t.Fatalf("error = %v, want lowest failing task 7", err)
+	}
+}
+
+// TestMapWorkersPanicBecomesError: a task that panics on a pool worker
+// fails its rank with an error naming the rank, the task and the panic
+// value, instead of crashing the process.
+func TestMapWorkersPanicBecomesError(t *testing.T) {
+	const bad = 5
+	var panicRank atomic.Int32
+	spill := t.TempDir()
+	err := mpi.RunWith(2, mpi.RunOptions{}, func(c *mpi.Comm) error {
+		mr := NewWith(c, Options{MapWorkers: 4, SpillDir: spill})
+		defer mr.Close()
+		_, err := mr.Map(16, func(itask int, kv *KeyValue) error {
+			if itask == bad {
+				panicRank.Store(int32(c.Rank()))
+				panic("kaboom")
+			}
+			return poolEmit(itask, kv)
+		})
+		return err
+	})
+	if err == nil {
+		t.Fatal("RunWith succeeded although a map task panicked")
+	}
+	want := fmt.Sprintf("rank %d: mrmpi: map task %d: panic: kaboom", panicRank.Load(), bad)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error = %v\nwant it to contain %q", err, want)
 	}
 }
 

@@ -23,7 +23,7 @@ func commFixture() *comm.Matrix {
 	tracker.Rank(1).SetPhase("reduce")
 	tracker.Rank(1).RecordSend(0, 2, 50, 1)
 	tracker.Rank(0).RecordRecv(1, 2, 50, 500, 50, 1, "reduce")
-	return tracker.Finalize()
+	return tracker.Matrix()
 }
 
 func TestAnalyzeComm(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package comm is the communication-accounting subsystem: per-rank,
 // lock-cheap accumulators that record every point-to-point message and
 // collective leg the mpi runtime moves — (src, dst, tag, phase, bytes,
-// queue-time, transfer-time) — and merge at Finalize into a world-level
+// queue-time, transfer-time) — and merge on demand into a world-level
 // comm matrix keyed by (src, dst, phase).
 //
 // The matrix is the observed baseline the ROADMAP's pluggable transport is
@@ -168,6 +168,12 @@ func (r *Rank) RecordSend(dst, tag int, bytes int64, seq uint64) {
 	if r == nil {
 		return
 	}
+	r.recordSend(dst, bytes, seq)
+}
+
+// recordSend is RecordSend's accounting body, kept out of line so the nil
+// check above inlines into every call site.
+func (r *Rank) recordSend(dst int, bytes int64, seq uint64) {
 	k := linkKey{peer: dst, phase: r.Phase()}
 	r.mu.Lock()
 	a := r.sent[k]
@@ -194,6 +200,12 @@ func (r *Rank) RecordRecv(src, tag int, bytes int64, queueNS, transferNS int64, 
 	if r == nil {
 		return
 	}
+	r.recordRecv(src, bytes, queueNS, transferNS, seq, phase)
+}
+
+// recordRecv is RecordRecv's accounting body, kept out of line so the nil
+// check above inlines into every call site.
+func (r *Rank) recordRecv(src int, bytes int64, queueNS, transferNS int64, seq uint64, phase string) {
 	k := linkKey{peer: src, phase: phase}
 	r.mu.Lock()
 	a := r.rcvd[k]
@@ -215,14 +227,9 @@ func (r *Rank) RecordRecv(src, tag int, bytes int64, queueNS, transferNS int64, 
 	r.mu.Unlock()
 }
 
-// Finalize merges the per-rank accumulators into the world-level matrix.
-// It is a snapshot, not a reset: calling it mid-run is safe and reflects
-// traffic recorded so far. Matrix is an alias kept for call sites that read
-// better one way or the other.
-func (t *Tracker) Finalize() *Matrix { return t.Matrix() }
-
-// Matrix merges and returns the world-level comm matrix. Nil tracker
-// returns nil.
+// Matrix merges the per-rank accumulators into the world-level comm
+// matrix. It is a snapshot, not a reset: calling it mid-run is safe and
+// reflects traffic recorded so far. Nil tracker returns nil.
 func (t *Tracker) Matrix() *Matrix {
 	if t == nil {
 		return nil

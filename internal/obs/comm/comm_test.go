@@ -50,7 +50,7 @@ func TestMatrixMergeAndPhases(t *testing.T) {
 	r1.RecordSend(0, 7, 10, 1)
 	r0.RecordRecv(1, 7, 10, 100, 50, 1, "")
 
-	m := tr.Finalize()
+	m := tr.Matrix()
 	if m.NumRanks != 2 {
 		t.Fatalf("NumRanks = %d, want 2", m.NumRanks)
 	}

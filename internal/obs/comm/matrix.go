@@ -416,9 +416,10 @@ func (m *Matrix) FitPerLink(minSamples int) []LinkFit {
 
 // WritePrometheus appends the matrix totals to a Prometheus text exposition:
 // one bytes and one msgs counter per (src, dst, phase) link. The live
-// server concatenates this after the registry's families.
+// server concatenates this after the registry's families. A nil matrix
+// (comm accounting off) writes nothing.
 func (m *Matrix) WritePrometheus(w io.Writer) error {
-	if len(m.Links) == 0 {
+	if m == nil || len(m.Links) == 0 {
 		return nil
 	}
 	esc := func(s string) string {

@@ -14,7 +14,14 @@
 //	             (404 when neither source is on) — the control-plane
 //	             groundwork for mrblastd
 //
-// cmd/mrblast and cmd/mrsom expose it behind their -status :PORT flag.
+// Session is the one place a run's instruments are built, served and
+// written out. cmd/mrblast and cmd/mrsom open one from their two
+// observability flags: -obs DIR turns every instrument on and leaves the
+// run's files in DIR under fixed names — trace.json.gz (Chrome trace),
+// comm.json.gz (comm matrix), metrics.prom (the same exposition /metrics
+// serves), cpu.*.pprof and heap.pprof (per-phase profiles), and
+// flight.json.gz (only if the run deadlocks, panics or gets SIGQUIT);
+// -status ADDR serves the routes above on ADDR.
 package live
 
 import (
@@ -101,14 +108,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if s.metrics != nil {
-			s.metrics.Snapshot().WritePrometheus(w)
-		}
-		if s.comm != nil {
-			// Mid-run the matrix is a live partial view; Prometheus counters
-			// are cumulative anyway, so serving the merged snapshot is exact.
-			s.comm.Matrix().WritePrometheus(w)
-		}
+		writeMetrics(w, s.metrics, s.comm)
 	})
 	return mux
 }
@@ -126,17 +126,18 @@ func (s *Server) Start(addr string) error {
 	return nil
 }
 
-// Addr reports the bound address ("" before Start).
+// Addr reports the bound address ("" before Start or on a nil server).
 func (s *Server) Addr() string {
-	if s.ln == nil {
+	if s == nil || s.ln == nil {
 		return ""
 	}
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener; in-flight requests are abandoned.
+// Close stops the listener; in-flight requests are abandoned. A nil or
+// never-started server closes as a no-op.
 func (s *Server) Close() error {
-	if s.http == nil {
+	if s == nil || s.http == nil {
 		return nil
 	}
 	return s.http.Close()

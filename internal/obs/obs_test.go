@@ -225,11 +225,11 @@ func TestRegistry(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.WriteTable(&buf); err != nil {
+	if err := s.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "a.count") {
-		t.Fatalf("metrics table missing counter:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "a_count_total 4") {
+		t.Fatalf("metrics exposition missing counter:\n%s", buf.String())
 	}
 }
 
@@ -289,12 +289,12 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("p99 = %g, want in [99,100]", hv.P99)
 	}
 	var buf bytes.Buffer
-	if err := r.Snapshot().WriteTable(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"p50=", "p95=", "p99="} {
+	for _, want := range []string{`lat{quantile="0.5"}`, `lat{quantile="0.95"}`, `lat{quantile="0.99"}`} {
 		if !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics table missing %q:\n%s", want, buf.String())
+			t.Errorf("metrics exposition missing %q:\n%s", want, buf.String())
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // Prometheus text exposition (version 0.0.4) for the registry, plus a
 // dependency-free conformance checker. The live server's /metrics endpoint
 // serves WritePrometheus output so any Prometheus-compatible scraper can
-// collect a run; CI's metrics-smoke job scrapes it and runs
-// ValidatePrometheus over the body.
+// collect a run, and -obs writes the same exposition to metrics.prom; the
+// tests run ValidatePrometheus over both.
 
 var promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
@@ -162,9 +162,9 @@ func validatePromLabels(s string) error {
 func ValidatePrometheus(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	typed := map[string]string{}   // family → declared type
-	seen := map[string]bool{}      // name{labels} → dup check
-	sampled := map[string]bool{}   // family → has samples (TYPE must come first)
+	typed := map[string]string{} // family → declared type
+	seen := map[string]bool{}    // name{labels} → dup check
+	sampled := map[string]bool{} // family → has samples (TYPE must come first)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

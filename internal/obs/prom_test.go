@@ -156,15 +156,15 @@ func TestBoardSnapshotConcurrent(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotConcurrent races Snapshot and WriteTable against
+// TestRegistrySnapshotConcurrent races Snapshot and WritePrometheus against
 // instrument mutation from several goroutines, plus the snapshot-before-run
 // (empty registry) edge case.
 func TestRegistrySnapshotConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	// Snapshot-before-run: empty registry snapshots and renders cleanly.
 	var empty bytes.Buffer
-	if err := reg.Snapshot().WriteTable(&empty); err != nil {
-		t.Fatalf("empty WriteTable: %v", err)
+	if err := reg.Snapshot().WritePrometheus(&empty); err != nil {
+		t.Fatalf("empty WritePrometheus: %v", err)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -187,10 +187,6 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s := reg.Snapshot()
 			var buf bytes.Buffer
-			if err := s.WriteTable(&buf); err != nil {
-				t.Errorf("WriteTable: %v", err)
-				return
-			}
 			if err := s.WritePrometheus(&buf); err != nil {
 				t.Errorf("WritePrometheus: %v", err)
 				return

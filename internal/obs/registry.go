@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 )
 
 // Registry is the unified metrics store for a run: named counters, gauges,
@@ -265,20 +262,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// WriteTable renders the snapshot as a plain-text metrics report.
-func (s RegistrySnapshot) WriteTable(w io.Writer) error {
-	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	for _, c := range s.Counters {
-		fmt.Fprintf(tw, "counter\t%s\t%d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(tw, "gauge\t%s\t%d\n", g.Name, g.Value)
-	}
-	for _, h := range s.Histograms {
-		fmt.Fprintf(tw, "histogram\t%s\tcount=%d sum=%g min=%g max=%g mean=%g p50=%g p95=%g p99=%g\n",
-			h.Name, h.Count, h.Sum, h.Min, h.Max, h.Mean(), h.P50, h.P95, h.P99)
-	}
-	return tw.Flush()
 }
